@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"topodb/internal/arrange"
 	"topodb/internal/folang"
 	"topodb/internal/fourint"
 	"topodb/internal/geom"
 	"topodb/internal/invariant"
-	"topodb/internal/par"
 	"topodb/internal/reldb"
 	"topodb/internal/spatial"
 	"topodb/internal/thematic"
@@ -34,11 +32,10 @@ const (
 	relationsKind
 	boxesKind
 	shardedKind // the composed *arrange.Sharded artifact
-	shardKind   // one shard's sub-arrangement; k is the shard id
 )
 
 // artifactKey identifies one cache slot; k is the refinement level for
-// universeKind and the shard id for shardKind, 0 elsewhere.
+// universeKind, 0 elsewhere.
 type artifactKey struct {
 	kind artifactKind
 	k    int
@@ -63,12 +60,13 @@ type cacheEntry struct {
 //
 // A generation reached from its predecessor by a pure extension (an
 // Apply/Add* batch that only added regions) carries a link to the parent
-// generation's cache and the added names: its arrangement is then derived
-// by arrange.Insert from the parent's, and its relation table recomputes
-// only the pairs touching the added regions (see buildArrangement and
-// relations). The chain is cut at depth one — linking a new generation
-// drops the parent's own parent — so at most two generations are ever
-// retained by the cache itself.
+// generation's cache and the added names: every artifact with an
+// incremental path — the arrangement (monolithic or sharded), the query
+// universes, the invariant and the relation table — then derives from the
+// parent's completed artifact under one policy (see derive). The chain is
+// cut at depth one — linking a new generation drops the parent's own
+// parent — so at most two generations are ever retained by the cache
+// itself.
 //
 // topolint:frozen — gen and the spatial clone are published immutable;
 // the slot map and parent link have their own mutation protocol under mu
@@ -178,8 +176,7 @@ func (c *genCache) get(ctx context.Context, key artifactKey, build func() (any, 
 			c.mu.Unlock()
 			select {
 			case <-e.done:
-				if e.err != nil && ctx.Err() == nil &&
-					(errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+				if e.err != nil && ctx.Err() == nil && isCanceled(e.err) {
 					// The winner's context fired, not ours; the slot was
 					// vacated before done closed, so loop and rebuild.
 					continue
@@ -214,9 +211,7 @@ func (c *genCache) runBuild(key artifactKey, e *cacheEntry, build func() (any, e
 		}
 	}()
 	e.val, e.err = build()
-	if e.err != nil && (errors.Is(e.err, context.Canceled) ||
-		errors.Is(e.err, context.DeadlineExceeded) ||
-		errors.Is(e.err, arrange.ErrTooManyRegions)) {
+	if e.err != nil && (isCanceled(e.err) || errors.Is(e.err, arrange.ErrTooManyRegions)) {
 		c.mu.Lock()
 		if c.entries[key] == e {
 			delete(c.entries, key)
@@ -300,8 +295,8 @@ func (c *artifactCache) at(gen uint64, in *spatial.Instance) *genCache {
 }
 
 // incrementalMax bounds the delta size (regions added since the parent
-// generation) the incremental arrangement path accepts; larger deltas —
-// or a zero setting — take the cold build.
+// generation) for which any artifact derives incrementally; larger deltas
+// — or a zero setting — take the cold build.
 var incrementalMax atomic.Int64
 
 // defaultIncrementalMax balances the incremental path's per-region
@@ -310,175 +305,73 @@ var incrementalMax atomic.Int64
 // bulk-load territory.
 const defaultIncrementalMax = 64
 
-func init() {
-	incrementalMax.Store(defaultIncrementalMax)
-	derivedIncrementalMax.Store(defaultIncrementalMax)
-}
+func init() { incrementalMax.Store(defaultIncrementalMax) }
 
 // SetIncrementalMax sets the largest number of added regions for which a
-// new generation derives its arrangement incrementally from the previous
-// generation instead of rebuilding cold, returning the previous setting.
-// 0 disables incremental maintenance entirely. The default is 64. Both
-// paths produce canonically identical artifacts; the knob exists for
-// benchmarks, equivalence tests, and workloads whose bulk batches are
-// better served cold.
+// new generation derives its artifacts — the arrangement (monolithic or
+// sharded), the query universes (unrefined and refined), the invariant
+// and the relation table — incrementally from the previous generation's
+// instead of recomputing them cold, returning the previous setting. 0
+// disables every incremental derivation. The default is 64. Both paths
+// produce byte-identical artifacts; the knob exists for benchmarks,
+// equivalence tests, and workloads whose bulk batches are better served
+// cold.
 func SetIncrementalMax(n int) int { return int(incrementalMax.Swap(int64(n))) }
 
-// derivedIncrementalMax independently bounds the delta size for which the
-// artifacts derived from the arrangement — the query universes (unrefined
-// and refined) and the invariant — are maintained incrementally from the
-// parent generation's.
-var derivedIncrementalMax atomic.Int64
+// tally names the derivCounters rows one artifact's derivations bump; -1
+// leaves a mode uncounted.
+type tally struct{ cold, incremental int }
 
-// SetDerivedIncrementalMax sets the largest number of added regions for
-// which a new generation derives its query universes (unrefined and
-// refined) and invariant incrementally from the previous generation's
-// (via the arrangement's delta provenance) instead of recomputing them
-// cold, returning the previous setting. 0 disables incremental derivation
-// of these artifacts while leaving arrangement maintenance
-// (SetIncrementalMax) untouched.
-// The default is 64. Both paths produce byte-identical artifacts; the knob
-// exists for benchmarks, equivalence tests, and as an escape hatch.
-func SetDerivedIncrementalMax(n int) int { return int(derivedIncrementalMax.Swap(int64(n))) }
+// uncounted is the tally of the artifacts /metrics does not report by
+// mode: the sharded artifact (its aliased shards are tallied on their own)
+// and the relation table.
+var uncounted = tally{-1, -1}
 
-// buildArrangement derives the generation's arrangement: from the sharded
-// artifact via arrange.Stitch when the instance is past the shard
-// threshold (both paths are cell-for-cell identical; the stitched one
-// skips the monolithic global sweep and labeling), incrementally from the
-// parent generation's materialized arrangement when the recorded delta is
-// a small pure extension, cold otherwise. Incremental failures other than
-// cancellation fall back to the cold build — Insert rejecting a delta is a
-// routing decision, never an error the caller sees.
-func (c *genCache) buildArrangement(ctx context.Context) (any, error) {
-	if arrange.ShardingEnabled(c.in.Len()) {
-		v, err := c.get(ctx, artifactKey{kind: shardedKind}, func() (any, error) {
-			return c.buildSharded(ctx)
-		})
-		if err != nil {
-			return nil, err
+// errNoProv rejects a StitchInc result that carries no delta provenance:
+// such an arrangement is exactly Stitch's, so it counts as cold.
+var errNoProv = errors.New("topodb: stitched arrangement carries no provenance")
+
+// derive is the one derivation policy every cached artifact follows. When
+// the generation extends its parent by at most incrementalMax regions and
+// the parent's artifact at key completed, incremental derives from it
+// (prev) and the added names. Cancellation propagates; any other failure
+// falls back to cold, since an incremental path rejecting a delta is a
+// routing decision, never an error the caller sees. A generation without a
+// usable parent, or an artifact with no incremental path (nil), builds
+// cold outright. t counts the mode taken: incremental on success, cold as
+// the cold build starts.
+func (c *genCache) derive(key artifactKey, t tally,
+	incremental func(parent *genCache, prev any, added []string) (any, error),
+	cold func() (any, error)) (any, error) {
+	bump := func(row int) {
+		if row >= 0 {
+			derivCounters[row].Add(1)
 		}
-		sh := v.(*arrange.Sharded)
-		// When this generation extends a parent whose sharded artifact and
-		// stitched arrangement both materialized, compose the per-shard
-		// delta provenance into a global one (StitchInc), so universe and
-		// invariant derivation can stay incremental across the stitch.
-		if parent, _ := c.parentLink(); parent != nil {
-			if pv, ok := parent.completed(artifactKey{kind: shardedKind}); ok {
-				if pa, ok2 := parent.completed(artifactKey{kind: arrangementKind}); ok2 {
-					a, err := arrange.StitchInc(ctx, sh, pv.(*arrange.Sharded), pa.(*arrange.Arrangement))
-					if err != nil {
-						return nil, err
-					}
-					if a.Prov() != nil {
-						derivCounters[derivArrangementIncremental].Add(1)
-					} else {
-						derivCounters[derivArrangementCold].Add(1)
-					}
-					return a, nil
-				}
-			}
-		}
-		derivCounters[derivArrangementCold].Add(1)
-		return arrange.Stitch(ctx, sh)
 	}
-	if parent, added := c.parentLink(); parent != nil &&
+	if parent, added := c.parentLink(); incremental != nil && parent != nil &&
 		int64(len(added)) <= incrementalMax.Load() {
-		if v, ok := parent.completed(artifactKey{kind: arrangementKind}); ok {
-			a, err := arrange.Insert(ctx, v.(*arrange.Arrangement), c.in, added...)
+		if prev, ok := parent.completed(key); ok {
+			v, err := incremental(parent, prev, added)
 			if err == nil {
-				derivCounters[derivArrangementIncremental].Add(1)
-				return a, nil
+				bump(t.incremental)
+				return v, nil
 			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if isCanceled(err) {
 				return nil, err
 			}
 		}
 	}
-	derivCounters[derivArrangementCold].Add(1)
-	return arrange.BuildCtx(ctx, c.in)
+	bump(t.cold)
+	return cold()
 }
 
-// buildSharded derives the generation's sharded artifact: by
-// arrange.InsertSharded from the parent generation's when the recorded
-// delta is a small pure extension — untouched shards alias the parent's
-// sub-arrangements, only intersected shards rebuild — and cold otherwise,
-// fanning the per-shard builds out over the worker pool with each shard in
-// its own single-flight cache slot. A fired ctx vacates every per-shard
-// slot (vacateShardSlots): a canceled build leaves no half-built
-// generation behind, exactly like the monolithic cold build's vacated
-// arrangement slot.
-func (c *genCache) buildSharded(ctx context.Context) (any, error) {
-	if parent, added := c.parentLink(); parent != nil &&
-		int64(len(added)) <= incrementalMax.Load() {
-		if v, ok := parent.completed(artifactKey{kind: shardedKind}); ok {
-			sh, err := arrange.InsertSharded(ctx, v.(*arrange.Sharded), c.in, added...)
-			if err == nil {
-				for _, nanos := range sh.BuildNanos {
-					if nanos == 0 {
-						derivCounters[derivArrangementAliased].Add(1)
-					}
-				}
-				return sh, nil
-			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-		}
+// regionIndices maps the added region names to their indices under index.
+func regionIndices(index func(string) int, added []string) []int {
+	idx := make([]int, len(added))
+	for i, n := range added {
+		idx[i] = index(n)
 	}
-	names := c.in.Names()
-	if budget := arrange.RegionBudget(); len(names) > budget {
-		return nil, fmt.Errorf("topodb: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)",
-			arrange.ErrTooManyRegions, len(names), budget)
-	}
-	plan := arrange.PlanShards(c.in)
-	sh := &arrange.Sharded{
-		Names:      append([]string(nil), names...),
-		Plan:       plan,
-		Subs:       make([]*arrange.Arrangement, plan.NumShards()),
-		BuildNanos: make([]int64, plan.NumShards()),
-	}
-	errs := make([]error, plan.NumShards())
-	perr := par.ForCtx(ctx, plan.NumShards(), func(i int) {
-		t0 := time.Now()
-		v, err := c.get(ctx, artifactKey{kind: shardKind, k: i}, func() (any, error) {
-			return arrange.BuildCtx(ctx, plan.SubInstance(c.in, i))
-		})
-		if err == nil {
-			sh.Subs[i] = v.(*arrange.Arrangement)
-		}
-		errs[i] = err
-		sh.BuildNanos[i] = time.Since(t0).Nanoseconds()
-	})
-	if perr != nil || ctx.Err() != nil {
-		c.vacateShardSlots()
-		return nil, fmt.Errorf("topodb: sharded build canceled: %w", ctx.Err())
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sh, nil
-}
-
-// vacateShardSlots drops every settled per-shard cache slot. Called when a
-// sharded build is abandoned mid-flight: shards that completed before the
-// cancellation must not linger as orphans of a generation that never
-// materialized. In-flight slots are left for their own runBuild to settle
-// (a canceled sub-build vacates itself).
-func (c *genCache) vacateShardSlots() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, e := range c.entries {
-		if key.kind != shardKind {
-			continue
-		}
-		select {
-		case <-e.done:
-			delete(c.entries, key)
-		default:
-		}
-	}
+	return idx
 }
 
 // The typed accessors below are the only consumers of the cache. They are
@@ -487,10 +380,28 @@ func (c *genCache) vacateShardSlots() {
 
 // sharded returns the memoized sharded artifact of the snapshot,
 // independent of the shard threshold (callers gate on
-// arrange.ShardingEnabled themselves).
+// arrange.ShardingEnabled themselves): derived by arrange.InsertSharded
+// from the parent generation's — untouched shards alias the parent's
+// sub-arrangements, only intersected shards rebuild — or built cold by
+// arrange.BuildSharded. A canceled build vacates the slot like any other,
+// so it leaves no half-built generation behind.
 func (s *Snapshot) sharded(ctx context.Context) (*arrange.Sharded, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: shardedKind}, func() (any, error) {
-		return s.c.buildSharded(ctx)
+	key := artifactKey{kind: shardedKind}
+	v, err := s.c.get(ctx, key, func() (any, error) {
+		return s.c.derive(key, uncounted,
+			func(_ *genCache, prev any, added []string) (any, error) {
+				sh, err := arrange.InsertSharded(ctx, prev.(*arrange.Sharded), s.c.in, added...)
+				if err != nil {
+					return nil, err
+				}
+				for _, nanos := range sh.BuildNanos {
+					if nanos == 0 {
+						derivCounters[derivArrangementAliased].Add(1)
+					}
+				}
+				return sh, nil
+			},
+			func() (any, error) { return arrange.BuildSharded(ctx, s.c.in) })
 	})
 	if err != nil {
 		return nil, err
@@ -527,13 +438,49 @@ type ShardStats struct {
 	MultiShard uint64  // located queries that consulted several shards
 }
 
-// arrangement returns the memoized cell complex of the snapshot, derived
-// incrementally from the parent generation when possible (see
-// buildArrangement). The build honors the first requester's ctx; a
-// canceled build vacates its slot, so later requesters rebuild.
+// arrangement returns the memoized cell complex of the snapshot: past the
+// shard threshold it is stitched from the sharded artifact (cell-for-cell
+// identical to the monolithic build, without its global sweep and
+// labeling), otherwise derived by arrange.Insert from the parent
+// generation's or built cold. The build honors the first requester's ctx;
+// a canceled build vacates its slot, so later requesters rebuild.
 func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: arrangementKind}, func() (any, error) {
-		return s.c.buildArrangement(ctx)
+	key := artifactKey{kind: arrangementKind}
+	v, err := s.c.get(ctx, key, func() (any, error) {
+		arrangementTally := tally{derivArrangementCold, derivArrangementIncremental}
+		if !arrange.ShardingEnabled(s.c.in.Len()) {
+			return s.c.derive(key, arrangementTally,
+				func(_ *genCache, prev any, added []string) (any, error) {
+					return arrange.Insert(ctx, prev.(*arrange.Arrangement), s.c.in, added...)
+				},
+				func() (any, error) { return arrange.BuildCtx(ctx, s.c.in) })
+		}
+		sh, err := s.sharded(ctx)
+		if err != nil {
+			return nil, err
+		}
+		// StitchInc composes the per-shard delta provenance against the
+		// parent's sharded and stitched artifacts into a global one, so
+		// universe and invariant derivation stay incremental across the
+		// stitch. A result without provenance is Stitch's own: the cold
+		// path reuses it rather than stitching twice.
+		var plain *arrange.Arrangement
+		return s.c.derive(key, arrangementTally,
+			func(parent *genCache, prev any, _ []string) (any, error) {
+				v, _ := parent.completed(artifactKey{kind: shardedKind})
+				parentSh, _ := v.(*arrange.Sharded)
+				a, err := arrange.StitchInc(ctx, sh, parentSh, prev.(*arrange.Arrangement))
+				if err == nil && a.Prov() == nil {
+					plain, err = a, errNoProv
+				}
+				return a, err
+			},
+			func() (any, error) {
+				if plain != nil {
+					return plain, nil
+				}
+				return arrange.Stitch(ctx, sh)
+			})
 	})
 	if err != nil {
 		return nil, err
@@ -545,55 +492,30 @@ func (s *Snapshot) arrangement(ctx context.Context) (*arrange.Arrangement, error
 // unrefined universe is derived from the shared arrangement — incrementally
 // from the parent generation's universe when the arrangement itself was
 // derived incrementally (its delta provenance carries the extents forward;
-// see folang.InsertUniverse) — and refined ones carry their own scaffolded
-// arrangement, derived incrementally from the parent's universe at the
-// same k while the scaffold grid stays anchored. Incremental failures
-// other than cancellation fall back to the cold build, mirroring
-// buildArrangement's discipline.
+// see folang.InsertUniverse). Refined ones carry their own scaffolded
+// arrangement, derived from the parent's universe at the same k while the
+// scaffold grid stays anchored: the delta path re-cuts only the added
+// regions' cells (folang.InsertUniverseRefined), and a bbox-growing delta
+// fails with arrange.ErrScaffoldMoved into the cold fallback.
 func (s *Snapshot) universe(ctx context.Context, k int) (*folang.Universe, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: universeKind, k: k}, func() (any, error) {
-		if k == 0 {
-			a, err := s.arrangement(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if parent, added := s.c.parentLink(); parent != nil &&
-				int64(len(added)) <= derivedIncrementalMax.Load() {
-				if v, ok := parent.completed(artifactKey{kind: universeKind, k: 0}); ok {
-					u, err := folang.InsertUniverse(ctx, v.(*folang.Universe), a, s.c.in)
-					if err == nil {
-						derivCounters[derivUniverseIncremental].Add(1)
-						return u, nil
-					}
-					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-						return nil, err
-					}
-				}
-			}
-			derivCounters[derivUniverseCold].Add(1)
-			return folang.NewUniverseFromArrangementCtx(ctx, a, s.c.in)
+	key := artifactKey{kind: universeKind, k: k}
+	v, err := s.c.get(ctx, key, func() (any, error) {
+		if k > 0 {
+			return s.c.derive(key, tally{derivUniverseRefinedCold, derivUniverseRefinedIncremental},
+				func(_ *genCache, prev any, added []string) (any, error) {
+					return folang.InsertUniverseRefined(ctx, prev.(*folang.Universe), s.c.in, k, added...)
+				},
+				func() (any, error) { return folang.NewUniverseCtx(ctx, s.c.in, k) })
 		}
-		// Refined (k > 0) universes derive from the parent generation's
-		// universe at the same k: the scaffold grid is fixed geometry while
-		// the instance bounding box is unchanged, so the delta path re-cuts
-		// only the added regions' cells (folang.InsertUniverseRefined). A
-		// bbox-growing delta fails with arrange.ErrScaffoldMoved and lands
-		// on the cold fallback like any other non-cancellation error.
-		if parent, added := s.c.parentLink(); parent != nil &&
-			int64(len(added)) <= derivedIncrementalMax.Load() {
-			if v, ok := parent.completed(artifactKey{kind: universeKind, k: k}); ok {
-				u, err := folang.InsertUniverseRefined(ctx, v.(*folang.Universe), s.c.in, k, added...)
-				if err == nil {
-					derivCounters[derivUniverseRefinedIncremental].Add(1)
-					return u, nil
-				}
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return nil, err
-				}
-			}
+		a, err := s.arrangement(ctx)
+		if err != nil {
+			return nil, err
 		}
-		derivCounters[derivUniverseRefinedCold].Add(1)
-		return folang.NewUniverseCtx(ctx, s.c.in, k)
+		return s.c.derive(key, tally{derivUniverseCold, derivUniverseIncremental},
+			func(_ *genCache, prev any, _ []string) (any, error) {
+				return folang.InsertUniverse(ctx, prev.(*folang.Universe), a, s.c.in)
+			},
+			func() (any, error) { return folang.NewUniverseFromArrangementCtx(ctx, a, s.c.in) })
 	})
 	if err != nil {
 		return nil, err
@@ -606,26 +528,17 @@ func (s *Snapshot) universe(ctx context.Context, k int) (*folang.Universe, error
 // delta provenance (untouched components keep their canonical traversal
 // starts; see invariant.FromArrangementDelta), cold otherwise.
 func (s *Snapshot) invariantT(ctx context.Context) (*invariant.T, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: invariantKind}, func() (any, error) {
+	key := artifactKey{kind: invariantKind}
+	v, err := s.c.get(ctx, key, func() (any, error) {
 		a, err := s.arrangement(ctx)
 		if err != nil {
 			return nil, err
 		}
-		if parent, added := s.c.parentLink(); parent != nil &&
-			int64(len(added)) <= derivedIncrementalMax.Load() {
-			if v, ok := parent.completed(artifactKey{kind: invariantKind}); ok {
-				t, err := invariant.FromArrangementDelta(ctx, a, v.(*invariant.T))
-				if err == nil {
-					derivCounters[derivInvariantIncremental].Add(1)
-					return t, nil
-				}
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return nil, err
-				}
-			}
-		}
-		derivCounters[derivInvariantCold].Add(1)
-		return invariant.FromArrangementCtx(ctx, a)
+		return s.c.derive(key, tally{derivInvariantCold, derivInvariantIncremental},
+			func(_ *genCache, prev any, _ []string) (any, error) {
+				return invariant.FromArrangementDelta(ctx, a, prev.(*invariant.T))
+			},
+			func() (any, error) { return invariant.FromArrangementCtx(ctx, a) })
 	})
 	if err != nil {
 		return nil, err
@@ -633,12 +546,13 @@ func (s *Snapshot) invariantT(ctx context.Context) (*invariant.T, error) {
 	return v.(*invariant.T), nil
 }
 
-// sinvariantT returns the memoized S-invariant (Theorem 6.1).
+// sinvariantT returns the memoized S-invariant (Theorem 6.1). It has no
+// incremental path: any delta moves the alignment scaffold globally.
 func (s *Snapshot) sinvariantT(ctx context.Context) (*invariant.T, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: sinvariantKind}, func() (any, error) {
-		// Always cold: any delta moves the alignment scaffold globally.
-		derivCounters[derivSInvariantCold].Add(1)
-		return invariant.SInvariantCtx(ctx, s.c.in)
+	key := artifactKey{kind: sinvariantKind}
+	v, err := s.c.get(ctx, key, func() (any, error) {
+		return s.c.derive(key, tally{derivSInvariantCold, -1}, nil,
+			func() (any, error) { return invariant.SInvariantCtx(ctx, s.c.in) })
 	})
 	if err != nil {
 		return nil, err
@@ -682,13 +596,12 @@ func (s *Snapshot) regionBoxes(ctx context.Context) ([]geom.Box, error) {
 // relation depends solely on the two unchanged regions and merges from the
 // parent table.
 func (s *Snapshot) relations(ctx context.Context) (map[[2]string]Relation, error) {
-	v, err := s.c.get(ctx, artifactKey{kind: relationsKind}, func() (any, error) {
+	key := artifactKey{kind: relationsKind}
+	v, err := s.c.get(ctx, key, func() (any, error) {
 		boxes, err := s.regionBoxes(ctx)
 		if err != nil {
 			return nil, err
 		}
-		parent, added := s.c.parentLink()
-		incremental := parent != nil && int64(len(added)) <= incrementalMax.Load()
 		if arrange.ShardingEnabled(s.c.in.Len()) {
 			// Sharded path: pairs classify against their shard's
 			// sub-arrangement; cross-shard pairs are Disjoint outright. The
@@ -697,37 +610,21 @@ func (s *Snapshot) relations(ctx context.Context) (map[[2]string]Relation, error
 			if err != nil {
 				return nil, err
 			}
-			if incremental {
-				if v, ok := parent.completed(artifactKey{kind: relationsKind}); ok {
-					addedIdx := make([]int, 0, len(added))
-					for _, n := range added {
-						addedIdx = append(addedIdx, sh.Plan.RegionIndex(n))
-					}
-					m, err := fourint.AllPairsShardedDelta(sh, boxes, addedIdx, v.(map[[2]string]Relation))
-					if err == nil {
-						return m, nil
-					}
-				}
-			}
-			return fourint.AllPairsSharded(sh, boxes)
+			return s.c.derive(key, uncounted,
+				func(_ *genCache, prev any, added []string) (any, error) {
+					return fourint.AllPairsShardedDelta(sh, boxes, regionIndices(sh.Plan.RegionIndex, added), prev.(map[[2]string]Relation))
+				},
+				func() (any, error) { return fourint.AllPairsSharded(sh, boxes) })
 		}
 		a, err := s.arrangement(ctx)
 		if err != nil {
 			return nil, err
 		}
-		if incremental {
-			if v, ok := parent.completed(artifactKey{kind: relationsKind}); ok {
-				addedIdx := make([]int, 0, len(added))
-				for _, n := range added {
-					addedIdx = append(addedIdx, a.RegionIndex(n))
-				}
-				m, err := fourint.AllPairsDelta(a, boxes, addedIdx, v.(map[[2]string]Relation))
-				if err == nil {
-					return m, nil
-				}
-			}
-		}
-		return fourint.AllPairsFromBoxes(a, boxes)
+		return s.c.derive(key, uncounted,
+			func(_ *genCache, prev any, added []string) (any, error) {
+				return fourint.AllPairsDelta(a, boxes, regionIndices(a.RegionIndex, added), prev.(map[[2]string]Relation))
+			},
+			func() (any, error) { return fourint.AllPairsFromBoxes(a, boxes) })
 	})
 	if err != nil {
 		return nil, err

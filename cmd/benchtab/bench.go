@@ -429,12 +429,8 @@ func incrementalArtifactRows() []benchRow {
 				restore := func() {}
 				if mode == "cold" {
 					iters = f.coldIters
-					oldInc := topodb.SetIncrementalMax(0)
-					oldDer := topodb.SetDerivedIncrementalMax(0)
-					restore = func() {
-						topodb.SetIncrementalMax(oldInc)
-						topodb.SetDerivedIncrementalMax(oldDer)
-					}
+					old := topodb.SetIncrementalMax(0)
+					restore = func() { topodb.SetIncrementalMax(old) }
 				}
 				serial := 0
 				op := func() {
@@ -506,12 +502,8 @@ func refinedUniverseRows() []benchRow {
 			restore := func() {}
 			if mode == "cold" {
 				iters = f.coldIters
-				oldInc := topodb.SetIncrementalMax(0)
-				oldDer := topodb.SetDerivedIncrementalMax(0)
-				restore = func() {
-					topodb.SetIncrementalMax(oldInc)
-					topodb.SetDerivedIncrementalMax(oldDer)
-				}
+				old := topodb.SetIncrementalMax(0)
+				restore = func() { topodb.SetIncrementalMax(old) }
 			}
 			serial := 0
 			op := func() {

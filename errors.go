@@ -71,10 +71,16 @@ func wrapCanceled(err error) error {
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if isCanceled(err) {
 		return &canceledError{cause: err}
 	}
 	return err
+}
+
+// isCanceled reports whether err stems from a fired context, canceled or
+// past its deadline.
+func isCanceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // noRegion builds the typed error for a missing region name.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"topodb/internal/arrange"
 	"topodb/internal/folang"
 	"topodb/internal/invariant"
 	"topodb/internal/workload"
@@ -47,6 +48,7 @@ func TestIncrementalArtifactsBytes(t *testing.T) {
 					}
 					uIncBefore := derivCounters[derivUniverseIncremental].Load()
 					tIncBefore := derivCounters[derivInvariantIncremental].Load()
+					prev := s0
 					k := 1
 					for k < len(names) {
 						batch := 1 + rng.Intn(3)
@@ -60,6 +62,7 @@ func TestIncrementalArtifactsBytes(t *testing.T) {
 						if parent, added := s.c.parentLink(); parent == nil || len(added) != batch {
 							t.Fatalf("generation %d: no parent link (added=%v)", s.Gen(), added)
 						}
+						before := ArtifactDerivationCounts()
 						u, err := s.universe(ctx, 0)
 						if err != nil {
 							t.Fatal(err)
@@ -82,6 +85,8 @@ func TestIncrementalArtifactsBytes(t *testing.T) {
 						if ti.Canonical() != coldT.Canonical() {
 							t.Fatalf("canonical invariant diverged at %d regions", k)
 						}
+						assertWarmDerivations(t, before, prev, s)
+						prev = s
 					}
 					if derivCounters[derivUniverseIncremental].Load() == uIncBefore {
 						t.Error("incremental universe derivation never ran")
@@ -95,16 +100,50 @@ func TestIncrementalArtifactsBytes(t *testing.T) {
 	}
 }
 
-// SetDerivedIncrementalMax(0) must force the universe and invariant cold
-// while leaving arrangement maintenance untouched — and the cold results
-// must still match, byte for byte.
+// assertWarmDerivations pins the exact change of every derivation row
+// since before across one warm generation s — derived from prev by one
+// small Apply — whose universe (k=0) and invariant were read: one
+// incremental arrangement, universe and invariant each, no cold build of
+// anything, and on the sharded path one aliased tally per shard s shares
+// pointer-for-pointer with prev.
+func assertWarmDerivations(t *testing.T, before []DerivationCount, prev, s *Snapshot) {
+	t.Helper()
+	want := make([]uint64, len(before))
+	want[derivArrangementIncremental] = 1
+	want[derivUniverseIncremental] = 1
+	want[derivInvariantIncremental] = 1
+	if v, ok := s.c.completed(artifactKey{kind: shardedKind}); ok {
+		pv, ok := prev.c.completed(artifactKey{kind: shardedKind})
+		if !ok {
+			t.Fatal("sharded generation without a sharded parent artifact")
+		}
+		parentSubs := make(map[*arrange.Arrangement]bool)
+		for _, sub := range pv.(*arrange.Sharded).Subs {
+			parentSubs[sub] = true
+		}
+		for _, sub := range v.(*arrange.Sharded).Subs {
+			if parentSubs[sub] {
+				want[derivArrangementAliased]++
+			}
+		}
+	}
+	for i, r := range ArtifactDerivationCounts() {
+		if got := r.N - before[i].N; got != want[i] {
+			t.Errorf("generation %d: %s/%s (refined=%v) moved by %d, want %d", s.Gen(), r.Kind, r.Mode, r.Refined, got, want[i])
+		}
+	}
+}
+
+// SetIncrementalMax(0) must force the derived artifacts — universe and
+// invariant — cold along with the arrangement, and the cold results must
+// still match, byte for byte.
 func TestDerivedIncrementalMaxKnob(t *testing.T) {
 	ctx := context.Background()
-	if got := SetDerivedIncrementalMax(0); got != defaultIncrementalMax {
-		SetDerivedIncrementalMax(got)
-		t.Fatalf("default derived incremental max = %d, want %d", got, defaultIncrementalMax)
+	if got := SetIncrementalMax(0); got != defaultIncrementalMax {
+		SetIncrementalMax(got)
+		t.Fatalf("default incremental max = %d, want %d", got, defaultIncrementalMax)
 	}
-	t.Cleanup(func() { SetDerivedIncrementalMax(defaultIncrementalMax) })
+	t.Cleanup(func() { SetIncrementalMax(defaultIncrementalMax) })
 
 	in := workload.SparseScatter(20)
 	names := in.Names()

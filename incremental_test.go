@@ -192,6 +192,124 @@ func TestColdQueryDeadlineCancelsBuild(t *testing.T) {
 	}
 }
 
+// The warm counterpart: on a generation whose parent materialized every
+// artifact, a read under an already-expired deadline aborts the
+// incremental derivation itself — ErrCanceled, cause preserved — without
+// falling back to (or counting) a cold build. The next live read on the
+// same snapshot still derives incrementally.
+func TestWarmQueryDeadlineCancelsDerivation(t *testing.T) {
+	const q = "some cell r: subset(r, R0)"
+	query := func(ctx context.Context, s *Snapshot) error {
+		_, err := s.Query(ctx, q)
+		return err
+	}
+	arrangement := func(s *Snapshot) error {
+		_, err := s.arrangement(context.Background())
+		return err
+	}
+	coldRows := []int{derivArrangementCold, derivUniverseCold, derivUniverseRefinedCold, derivInvariantCold, derivSInvariantCold}
+	for _, tc := range []struct {
+		name      string
+		threshold int
+		prep      func(*Snapshot) error // live derivations the read builds on
+		read      func(context.Context, *Snapshot) error
+		inc       int // the derivCounters row the live read advances
+	}{
+		{"monolithic insert", -1, nil, query, derivArrangementIncremental},
+		{"sharded insert", 0, nil, query, derivArrangementAliased},
+		{"sharded stitch", 0, func(s *Snapshot) error {
+			_, err := s.sharded(context.Background())
+			return err
+		}, query, derivArrangementIncremental},
+		{"universe", -1, arrangement, query, derivUniverseIncremental},
+		{"universe refined", -1, nil, func(ctx context.Context, s *Snapshot) error {
+			_, err := s.QueryRefined(ctx, q, 2)
+			return err
+		}, derivUniverseRefinedIncremental},
+		// The public Invariant takes no ctx; brand the internal read the
+		// way the ctx-taking API boundary does.
+		{"invariant", -1, arrangement, func(ctx context.Context, s *Snapshot) error {
+			_, err := s.invariantT(ctx)
+			return wrapCanceled(err)
+		}, derivInvariantIncremental},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old := SetShardThreshold(tc.threshold)
+			t.Cleanup(func() { SetShardThreshold(old) })
+			db := NewInstance()
+			for i, r := range [][4]int64{{0, 0, 10, 10}, {20, 0, 30, 10}, {40, 0, 50, 10}, {5, 5, 15, 15}} {
+				if err := db.AddRect(fmt.Sprintf("R%d", i), r[0], r[1], r[2], r[3]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx := context.Background()
+			s0 := db.Snapshot()
+			if _, err := s0.universe(ctx, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s0.universe(ctx, 2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s0.invariantT(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// Inside R1 and the instance box: every artifact, the refined
+			// universe included, has an incremental path.
+			if err := db.AddRect("N", 22, 2, 28, 8); err != nil {
+				t.Fatal(err)
+			}
+			s := db.Snapshot()
+			if parent, _ := s.c.parentLink(); parent != s0.c {
+				t.Fatal("warm generation is not linked to its parent")
+			}
+			if tc.prep != nil {
+				if err := tc.prep(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			coldBefore := make([]uint64, len(coldRows))
+			for i, row := range coldRows {
+				coldBefore[i] = derivCounters[row].Load()
+			}
+			assertNoCold := func(when string) {
+				t.Helper()
+				for i, row := range coldRows {
+					if got := derivCounters[row].Load(); got != coldBefore[i] {
+						t.Fatalf("%s: %+v counter moved %d -> %d", when, derivationRows[row], coldBefore[i], got)
+					}
+				}
+			}
+			inc := derivCounters[tc.inc].Load()
+			expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+			defer cancel()
+			// Waiting on a settled prerequisite slot races the fired ctx
+			// (either may win), so repeat the read until, with
+			// overwhelming odds, some attempt reaches the derivation.
+			for i := 0; i < 20; i++ {
+				err := tc.read(expired, s)
+				if !errors.Is(err, ErrCanceled) {
+					t.Fatalf("expected ErrCanceled, got %v", err)
+				}
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("cause lost: %v", err)
+				}
+			}
+			assertNoCold("canceled read")
+			if got := derivCounters[tc.inc].Load(); got != inc {
+				t.Fatalf("canceled read still derived: %+v moved %d -> %d", derivationRows[tc.inc], inc, got)
+			}
+
+			if err := tc.read(ctx, s); err != nil {
+				t.Fatalf("live read after canceled derivation: %v", err)
+			}
+			if derivCounters[tc.inc].Load() == inc {
+				t.Fatalf("live read did not derive incrementally (%+v unchanged)", derivationRows[tc.inc])
+			}
+			assertNoCold("live read")
+		})
+	}
+}
+
 // Stress: concurrent snapshot readers — queries, relation lookups, and
 // FaceOfPoint-heavy point stabs through the shared point-location index —
 // against a writer issuing single-region Apply batches. Every reader

@@ -218,13 +218,13 @@ func TestRefinedUniverseBoxGrowthFallsBackCold(t *testing.T) {
 	}
 }
 
-// SetDerivedIncrementalMax(0) must force refined universes cold — and the
-// cold result must still match byte for byte; restoring the knob brings
-// the incremental path back.
+// SetIncrementalMax(0) must force refined universes cold — and the cold
+// result must still match byte for byte; restoring the knob brings the
+// incremental path back.
 func TestRefinedDerivedIncrementalMaxKnob(t *testing.T) {
 	ctx := context.Background()
-	old := SetDerivedIncrementalMax(0)
-	t.Cleanup(func() { SetDerivedIncrementalMax(old) })
+	old := SetIncrementalMax(0)
+	t.Cleanup(func() { SetIncrementalMax(old) })
 
 	db, mirror := refinedFixture(t)
 	if _, err := db.Snapshot().universe(ctx, 3); err != nil {
@@ -250,7 +250,7 @@ func TestRefinedDerivedIncrementalMaxKnob(t *testing.T) {
 		t.Fatal("cold-forced refined universe fingerprint diverged")
 	}
 
-	SetDerivedIncrementalMax(defaultIncrementalMax)
+	SetIncrementalMax(defaultIncrementalMax)
 	if err := db.AddRect("in2", 100, 10, 110, 20); err != nil {
 		t.Fatal(err)
 	}
