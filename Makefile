@@ -5,7 +5,7 @@
 STATICCHECK_VERSION = 2024.1.1
 GOVULNCHECK_VERSION = v1.1.3
 
-.PHONY: all build test race lint topolint fmt vuln bench bench-baseline
+.PHONY: all build test race lint topolint fmt vuln bench bench-baseline perfbench
 
 all: build lint test
 
@@ -56,3 +56,10 @@ bench-baseline:
 	[ -n "$$n" ] || { echo "no BENCH_prN.json baseline found" >&2; exit 1; }; \
 	echo "regenerating BENCH_pr$$n.json"; \
 	go run ./cmd/benchtab -json bench > BENCH_pr$$n.json
+
+# perfbench is CI's perfbench job: vet and race-test the benchmark module,
+# then a traced served_mixed replay that exits non-zero on a wrong answer
+# or a derivation-mode cross-check mismatch (never on timing).
+perfbench:
+	cd perfbench && go vet ./... && go test -race ./...
+	bash perfbench/run.sh --workload served_mixed --seed 1 --seconds 3 --trace 1

@@ -624,11 +624,10 @@ func BenchmarkAllPairsPruning(b *testing.B) {
 		}
 	})
 	b.Run("unpruned", func(b *testing.B) {
-		old := fourint.SetBoxPrune(false)
-		defer fourint.SetBoxPrune(old)
+		unpruned := unprunableBoxes(in)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := fourint.AllPairsFromBoxes(a, boxes); err != nil {
+			if _, err := fourint.AllPairsFromBoxes(a, unpruned); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -70,14 +70,24 @@ func coldBuild(in *spatial.Instance, sweepMin int) testing.BenchmarkResult {
 }
 
 // allPairs measures the all-pairs classification from a prebuilt
-// arrangement, with the bounding-box prune on or off.
+// arrangement, with the bounding-box prune on or off. Off passes n copies
+// of the union of the region boxes, so every pair intersects and takes the
+// exact matrix scan.
 func allPairs(a *arrange.Arrangement, prune bool) testing.BenchmarkResult {
-	old := fourint.SetBoxPrune(prune)
-	defer fourint.SetBoxPrune(old)
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := fourint.AllPairsFrom(a); err != nil {
+			boxes := fourint.RegionBoxes(a)
+			if !prune {
+				u := boxes[0]
+				for _, box := range boxes[1:] {
+					u = u.Union(box)
+				}
+				for k := range boxes {
+					boxes[k] = u
+				}
+			}
+			if _, err := fourint.AllPairsFromBoxes(a, boxes); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -234,8 +234,8 @@ func BuildWithScaffoldCtx(ctx context.Context, in *spatial.Instance, scaffold []
 	if len(names) == 0 {
 		return nil, fmt.Errorf("arrange: empty instance")
 	}
-	if budget := RegionBudget(); len(names) > budget {
-		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)", ErrTooManyRegions, len(names), budget)
+	if err := checkRegionBudget(len(names)); err != nil {
+		return nil, err
 	}
 	a := &Arrangement{Names: names, index: make(map[string]int, len(names)), Pool: NewOwnerPool()}
 	for i, n := range names {

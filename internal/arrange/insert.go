@@ -49,11 +49,6 @@ func Insert(ctx context.Context, parent *Arrangement, in *spatial.Instance, adde
 	return insertCore(ctx, parent, in, added)
 }
 
-// InsertWithScaffold is InsertWithScaffoldCtx with a background context.
-func InsertWithScaffold(parent *Arrangement, in *spatial.Instance, scaffold []geom.Seg, added ...string) (*Arrangement, error) {
-	return InsertWithScaffoldCtx(context.Background(), parent, in, scaffold, added...)
-}
-
 // InsertWithScaffoldCtx derives the scaffolded arrangement of in from a
 // parent built over the same scaffold (BuildWithScaffoldCtx or a previous
 // InsertWithScaffoldCtx). The scaffold segments are fixed geometry: they
@@ -94,31 +89,41 @@ func insertCore(ctx context.Context, parent *Arrangement, in *spatial.Instance, 
 	if parent.walkOf == nil || parent.faceBox == nil {
 		return nil, fmt.Errorf("arrange: Insert parent lacks construction caches")
 	}
-	names := in.Names()
-	if len(names) != len(parent.Names)+len(added) {
-		return nil, fmt.Errorf("arrange: Insert delta mismatch: %d = %d parent + %d added regions",
-			len(names), len(parent.Names), len(added))
-	}
-	if budget := RegionBudget(); len(names) > budget {
-		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)",
-			ErrTooManyRegions, len(names), budget)
-	}
-	for _, n := range added {
-		if _, ok := parent.index[n]; ok {
-			return nil, fmt.Errorf("arrange: Insert: region %q replaces a parent region", n)
-		}
-		if _, ok := in.Ext(n); !ok {
-			return nil, fmt.Errorf("arrange: Insert: added region %q missing from instance", n)
-		}
-	}
-	for _, n := range parent.Names {
-		if _, ok := in.Ext(n); !ok {
-			return nil, fmt.Errorf("arrange: Insert: parent region %q missing from instance", n)
-		}
+	if err := checkExtension("Insert", parent.Names, parent.RegionIndex, in, added); err != nil {
+		return nil, err
 	}
 
 	ins := &inserter{parent: parent, in: in}
 	return ins.run(ctx, added)
+}
+
+// checkExtension enforces the pure-extension contract of an incremental
+// derivation named op: in holds every parent region plus exactly the added
+// ones, none of which the parent already had, within the region budget.
+// parentIndex maps a name to its parent region index, or -1.
+func checkExtension(op string, parentNames []string, parentIndex func(string) int, in *spatial.Instance, added []string) error {
+	n := in.Len()
+	if n != len(parentNames)+len(added) {
+		return fmt.Errorf("arrange: %s delta mismatch: %d = %d parent + %d added regions",
+			op, n, len(parentNames), len(added))
+	}
+	if err := checkRegionBudget(n); err != nil {
+		return err
+	}
+	for _, name := range added {
+		if parentIndex(name) >= 0 {
+			return fmt.Errorf("arrange: %s: region %q replaces a parent region", op, name)
+		}
+		if _, ok := in.Ext(name); !ok {
+			return fmt.Errorf("arrange: %s: added region %q missing from instance", op, name)
+		}
+	}
+	for _, name := range parentNames {
+		if _, ok := in.Ext(name); !ok {
+			return fmt.Errorf("arrange: %s: parent region %q missing from instance", op, name)
+		}
+	}
+	return nil
 }
 
 // inserter carries the state of one incremental derivation.

@@ -2,6 +2,7 @@ package arrange
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -215,6 +216,82 @@ func TestInsertRejectsBadDeltas(t *testing.T) {
 	}
 	if _, err := Insert(ctx, a, subInstance(in, in.Names()[1:]), "C003"); err == nil {
 		t.Fatal("dropping a parent region must fail")
+	}
+}
+
+// InsertSharded must reject the same bad deltas. A replaced region that
+// sits alone in its shard keeps that shard's member-name key, so without
+// the check the parent's stale sub-arrangement would be aliased.
+func TestInsertShardedRejectsBadDeltas(t *testing.T) {
+	ctx := context.Background()
+	in := workload.OverlapChain(4)
+	parentIn := subInstance(in, in.Names()[:3])
+	parentIn.MustAdd("Far", region.MustRect(1000, 1000, 1004, 1004))
+	parent, err := BuildSharded(ctx, parentIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := subInstance(in, in.Names())
+	full.MustAdd("Far", region.MustRect(1000, 1000, 1004, 1004))
+	moved := subInstance(in, in.Names())
+	moved.MustAdd("Far", region.MustRect(1000, 1000, 1008, 1008))
+	for _, c := range []struct {
+		name  string
+		in    *spatial.Instance
+		added []string
+	}{
+		{"no added region", full, nil},
+		{"replaced region", moved, []string{"Far"}},
+		{"unknown added region", full, []string{"nope"}},
+		{"dropped parent region", subInstance(full, []string{"C001", "C002", "C003", "Far"}), []string{"C003"}},
+	} {
+		if _, err := InsertSharded(ctx, parent, c.in, c.added...); err == nil {
+			t.Errorf("%s must fail", c.name)
+		}
+	}
+	if _, err := InsertSharded(ctx, parent, full, "C003"); err != nil {
+		t.Fatalf("pure extension: %v", err)
+	}
+}
+
+// Every build path refuses an instance past the region budget with
+// ErrTooManyRegions and admits it once the budget is raised. The regions
+// are box-disjoint, so every shard alone fits the budget: the sharded
+// paths must refuse the instance as a whole.
+func TestRegionBudgetEveryBuildPath(t *testing.T) {
+	ctx := context.Background()
+	in := spatial.New()
+	for i := int64(0); i < 4; i++ {
+		in.MustAdd(fmt.Sprintf("R%d", i), region.MustRect(10*i, 0, 10*i+4, 4))
+	}
+	last := in.Names()[3]
+	parentIn := subInstance(in, in.Names()[:3])
+	parent, err := Build(parentIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentSh, err := BuildSharded(ctx, parentIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer SetRegionBudget(SetRegionBudget(3))
+	for _, c := range []struct {
+		name  string
+		build func() error
+	}{
+		{"BuildCtx", func() error { _, err := BuildCtx(ctx, in); return err }},
+		{"Insert", func() error { _, err := Insert(ctx, parent, in, last); return err }},
+		{"BuildSharded", func() error { _, err := BuildSharded(ctx, in); return err }},
+		{"InsertSharded", func() error { _, err := InsertSharded(ctx, parentSh, in, last); return err }},
+	} {
+		SetRegionBudget(3)
+		if err := c.build(); !errors.Is(err, ErrTooManyRegions) {
+			t.Errorf("%s past the budget: %v, want ErrTooManyRegions", c.name, err)
+		}
+		SetRegionBudget(4)
+		if err := c.build(); err != nil {
+			t.Errorf("%s after raising the budget: %v", c.name, err)
+		}
 	}
 }
 

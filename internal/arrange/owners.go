@@ -1,6 +1,7 @@
 package arrange
 
 import (
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 )
@@ -191,4 +192,13 @@ func SetRegionBudget(n int) int {
 		n = 1
 	}
 	return int(regionBudget.Swap(int64(n)))
+}
+
+// checkRegionBudget refuses an instance of n regions past the budget with
+// an error wrapping ErrTooManyRegions.
+func checkRegionBudget(n int) error {
+	if budget := RegionBudget(); n > budget {
+		return fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)", ErrTooManyRegions, n, budget)
+	}
+	return nil
 }

@@ -221,16 +221,25 @@ func (sh *Sharded) RoutingCounts() (one, multi uint64) {
 // whole instance. A fired ctx abandons the remaining shards and returns
 // the context's error.
 func BuildSharded(ctx context.Context, in *spatial.Instance) (*Sharded, error) {
+	if in.Len() == 0 {
+		return nil, fmt.Errorf("arrange: empty instance")
+	}
+	if err := checkRegionBudget(in.Len()); err != nil {
+		return nil, err
+	}
+	return fanOut(ctx, in, nil)
+}
+
+// fanOut plans in's shards and fills them over the bounded worker pool.
+// Without a parent generation every shard builds cold. With one, a shard
+// whose member set the parent already held aliases the parent's
+// sub-arrangement, and only the rest are derived, by insertShard. A fired
+// ctx abandons the remaining shards and returns the context's error.
+func fanOut(ctx context.Context, in *spatial.Instance, parent *Sharded) (*Sharded, error) {
 	// Copy the names: the Sharded outlives this call as a parent artifact
 	// for delta derivation, and Instance.Names returns the live slice that
 	// later in-place Adds shift underneath us.
 	names := append([]string(nil), in.Names()...)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("arrange: empty instance")
-	}
-	if budget := RegionBudget(); len(names) > budget {
-		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)", ErrTooManyRegions, len(names), budget)
-	}
 	plan := PlanShardsBoxes(names, in.Boxes())
 	sh := &Sharded{
 		Names:      names,
@@ -238,11 +247,34 @@ func BuildSharded(ctx context.Context, in *spatial.Instance) (*Sharded, error) {
 		Subs:       make([]*Arrangement, plan.NumShards()),
 		BuildNanos: make([]int64, plan.NumShards()),
 	}
-	errs := make([]error, plan.NumShards())
-	if err := par.ForCtx(ctx, plan.NumShards(), func(c int) {
+	var todo []int
+	if parent == nil {
+		todo = make([]int, plan.NumShards())
+		for c := range todo {
+			todo[c] = c
+		}
+	} else {
+		parentByKey := make(map[string]int, parent.Plan.NumShards())
+		for pc, members := range parent.Plan.Members {
+			parentByKey[shardKey(parent.Names, members)] = pc
+		}
+		for c, members := range plan.Members {
+			if pc, ok := parentByKey[shardKey(names, members)]; ok {
+				sh.Subs[c] = parent.Subs[pc]
+				continue
+			}
+			todo = append(todo, c)
+		}
+	}
+	errs := make([]error, len(todo))
+	if err := par.ForCtx(ctx, len(todo), func(k int) {
+		c := todo[k]
 		t0 := time.Now()
-		sub, err := BuildCtx(ctx, plan.SubInstance(in, c))
-		sh.Subs[c], errs[c] = sub, err
+		if parent == nil {
+			sh.Subs[c], errs[k] = BuildCtx(ctx, plan.SubInstance(in, c))
+		} else {
+			sh.Subs[c], errs[k] = insertShard(ctx, parent, in, plan, c)
+		}
 		sh.BuildNanos[c] = time.Since(t0).Nanoseconds()
 	}); err != nil {
 		return nil, canceled(ctx)

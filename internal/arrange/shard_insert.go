@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
-	"topodb/internal/par"
 	"topodb/internal/spatial"
 )
 
@@ -51,75 +48,16 @@ func InsertSharded(ctx context.Context, parent *Sharded, in *spatial.Instance, a
 	if parent == nil || len(added) == 0 {
 		return nil, fmt.Errorf("arrange: InsertSharded needs a parent and at least one added region")
 	}
-	names := append([]string(nil), in.Names()...) // see BuildSharded
-	if len(names) != len(parent.Names)+len(added) {
-		return nil, fmt.Errorf("arrange: InsertSharded delta mismatch: %d = %d parent + %d added regions",
-			len(names), len(parent.Names), len(added))
-	}
-	if budget := RegionBudget(); len(names) > budget {
-		return nil, fmt.Errorf("arrange: %w: %d regions exceed the region budget of %d (raise it with SetRegionBudget)",
-			ErrTooManyRegions, len(names), budget)
-	}
-	inParent := func(name string) bool {
-		i := sort.SearchStrings(parent.Names, name)
-		return i < len(parent.Names) && parent.Names[i] == name
-	}
-	for _, n := range added {
-		if inParent(n) {
-			return nil, fmt.Errorf("arrange: InsertSharded: region %q replaces a parent region", n)
-		}
-		if _, ok := in.Ext(n); !ok {
-			return nil, fmt.Errorf("arrange: InsertSharded: added region %q missing from instance", n)
-		}
-	}
-	for _, n := range parent.Names {
-		if _, ok := in.Ext(n); !ok {
-			return nil, fmt.Errorf("arrange: InsertSharded: parent region %q missing from instance", n)
-		}
-	}
-
-	plan := PlanShardsBoxes(names, in.Boxes())
-	parentByKey := make(map[string]int, parent.Plan.NumShards())
-	for pc, members := range parent.Plan.Members {
-		parentByKey[shardKey(parent.Names, members)] = pc
-	}
-
-	sh := &Sharded{
-		Names:      names,
-		Plan:       plan,
-		Subs:       make([]*Arrangement, plan.NumShards()),
-		BuildNanos: make([]int64, plan.NumShards()),
-	}
-	var changed []int
-	for c, members := range plan.Members {
-		if pc, ok := parentByKey[shardKey(names, members)]; ok {
-			sh.Subs[c] = parent.Subs[pc]
-			continue
-		}
-		changed = append(changed, c)
-	}
-	errs := make([]error, len(changed))
-	if err := par.ForCtx(ctx, len(changed), func(k int) {
-		t0 := time.Now()
-		sub, err := insertShard(ctx, parent, in, plan, changed[k], inParent)
-		sh.Subs[changed[k]], errs[k] = sub, err
-		sh.BuildNanos[changed[k]] = time.Since(t0).Nanoseconds()
-	}); err != nil {
-		return nil, canceled(ctx)
-	}
-	if err := firstErr(errs); err != nil {
+	if err := checkExtension("InsertSharded", parent.Names, parent.Plan.RegionIndex, in, added); err != nil {
 		return nil, err
 	}
-	if ctx.Err() != nil {
-		return nil, canceled(ctx)
-	}
-	return sh, nil
+	return fanOut(ctx, in, parent)
 }
 
 // insertShard builds changed shard c of the new plan: incrementally from
 // its largest surviving parent shard when the per-shard delta is small
 // enough, cold otherwise.
-func insertShard(ctx context.Context, parent *Sharded, in *spatial.Instance, plan *ShardPlan, c int, inParent func(string) bool) (*Arrangement, error) {
+func insertShard(ctx context.Context, parent *Sharded, in *spatial.Instance, plan *ShardPlan, c int) (*Arrangement, error) {
 	subIn := plan.SubInstance(in, c)
 
 	// The shard's pre-existing members form a union of complete parent
@@ -128,11 +66,11 @@ func insertShard(ctx context.Context, parent *Sharded, in *spatial.Instance, pla
 	best, bestSize := -1, 0
 	seen := make(map[int]bool)
 	for _, ri := range plan.Members[c] {
-		name := plan.Names[ri]
-		if !inParent(name) {
+		pi := parent.Plan.RegionIndex(plan.Names[ri])
+		if pi < 0 {
 			continue
 		}
-		pc := parent.Plan.Shard[sort.SearchStrings(parent.Names, name)]
+		pc := parent.Plan.Shard[pi]
 		if seen[pc] {
 			continue
 		}

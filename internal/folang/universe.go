@@ -492,15 +492,3 @@ func (u *Universe) EnumDiscRegions(limit, maxFaces int, yield func(faces []int) 
 func (u *Universe) String() string {
 	return fmt.Sprintf("universe: %d faces, %d edges, %d vertices", u.nf, u.ne, u.nv)
 }
-
-// NewUniverseFromSharded builds the evaluation context over the stitched
-// view of a sharded artifact: the exact global arrangement is composed
-// from the per-shard pieces (arrange.Stitch) and the universe built on it,
-// so query answers match the monolithic path cell-for-cell.
-func NewUniverseFromSharded(ctx context.Context, sh *arrange.Sharded, in *spatial.Instance) (*Universe, error) {
-	a, err := arrange.Stitch(ctx, sh)
-	if err != nil {
-		return nil, err
-	}
-	return newUniverseFrom(ctx, a, in)
-}

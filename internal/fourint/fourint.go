@@ -11,7 +11,6 @@ package fourint
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"topodb/internal/arrange"
 	"topodb/internal/geom"
@@ -157,18 +156,6 @@ func Relate(in *spatial.Instance, nameA, nameB string) (Relation, error) {
 	return Classify(MatrixOf(a, a.RegionIndex(nameA), a.RegionIndex(nameB)))
 }
 
-// boxPrune gates the bounding-box fast path of the all-pairs
-// classification. It defaults to on; benchmarks and equivalence tests
-// disable it to measure the unpruned reference.
-var boxPrune atomic.Bool
-
-func init() { boxPrune.Store(true) }
-
-// SetBoxPrune enables or disables the bounding-box Disjoint fast path,
-// returning the previous setting. Both settings produce identical
-// relation maps; the knob exists for benchmarks and equivalence tests.
-func SetBoxPrune(enabled bool) bool { return boxPrune.Swap(enabled) }
-
 // AllPairs computes the relation for every ordered pair of distinct region
 // names from a single arrangement of the full instance. Region bounding
 // boxes come straight from the instance, so box-disjoint pairs skip the
@@ -219,44 +206,10 @@ func AllPairsFrom(a *arrange.Arrangement) (map[[2]string]Relation, error) {
 // or RegionBoxes). Pairs with disjoint boxes are Disjoint by construction
 // — every cell of either region lives inside its box — and skip the
 // O(cells) matrix scan; the common case in scatter and grid workloads.
-// Each surviving unordered pair is classified once — the reverse direction
-// is its Inverse — on a bounded worker pool; results are merged in pair
-// order, so the output (and the first reported error) is deterministic
-// regardless of scheduling.
+// Boxes that all intersect (n copies of the instance's union box) disable
+// that shortcut and yield the unpruned reference table.
 func AllPairsFromBoxes(a *arrange.Arrangement, boxes []geom.Box) (map[[2]string]Relation, error) {
-	names := a.Names
-	n := len(names)
-	if len(boxes) != n {
-		return nil, fmt.Errorf("fourint: %d boxes for %d regions", len(boxes), n)
-	}
-	prune := boxPrune.Load()
-	type pair struct{ i, j int }
-	pairs := make([]pair, 0, n*(n-1)/2)
-	out := make(map[[2]string]Relation, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if prune && !boxes[i].Intersects(boxes[j]) {
-				out[[2]string{names[i], names[j]}] = Disjoint
-				out[[2]string{names[j], names[i]}] = Disjoint
-				continue
-			}
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	rels := make([]Relation, len(pairs))
-	errs := make([]error, len(pairs))
-	par.For(len(pairs), func(k int) {
-		p := pairs[k]
-		rels[k], errs[k] = Classify(MatrixOf(a, p.i, p.j))
-	})
-	for k, p := range pairs {
-		if errs[k] != nil {
-			return nil, fmt.Errorf("fourint: %s vs %s: %w", names[p.i], names[p.j], errs[k])
-		}
-		out[[2]string{names[p.i], names[p.j]}] = rels[k]
-		out[[2]string{names[p.j], names[p.i]}] = rels[k].Inverse()
-	}
-	return out, nil
+	return pairTable(a.Names, pairHome{a: a}, boxes, nil, nil)
 }
 
 // AllPairsDelta computes the relation map for an arrangement whose
@@ -270,11 +223,16 @@ func AllPairsFromBoxes(a *arrange.Arrangement, boxes []geom.Box) (map[[2]string]
 // instead of O(n²). A pre-existing pair missing from parent fails — the
 // caller falls back to the full computation.
 func AllPairsDelta(a *arrange.Arrangement, boxes []geom.Box, addedIdx []int, parent map[[2]string]Relation) (map[[2]string]Relation, error) {
-	names := a.Names
-	n := len(names)
-	if len(boxes) != n {
-		return nil, fmt.Errorf("fourint: %d boxes for %d regions", len(boxes), n)
+	isAdded, err := addedMask(len(a.Names), addedIdx)
+	if err != nil {
+		return nil, err
 	}
+	return pairTable(a.Names, pairHome{a: a}, boxes, isAdded, parent)
+}
+
+// addedMask turns added region indexes into a membership mask over n
+// regions.
+func addedMask(n int, addedIdx []int) ([]bool, error) {
 	isAdded := make([]bool, n)
 	for _, i := range addedIdx {
 		if i < 0 || i >= n {
@@ -282,34 +240,76 @@ func AllPairsDelta(a *arrange.Arrangement, boxes []geom.Box, addedIdx []int, par
 		}
 		isAdded[i] = true
 	}
-	prune := boxPrune.Load()
-	type pair struct{ i, j int }
+	return isAdded, nil
+}
+
+// pairHome is where a pair's 4-intersection matrix lives: the whole
+// arrangement a, or — when sh is set — the one shard holding both regions.
+type pairHome struct {
+	a  *arrange.Arrangement
+	sh *arrange.Sharded
+}
+
+// locate returns the arrangement holding regions i and j and their local
+// indexes in it, or a nil arrangement for a cross-shard pair (Disjoint;
+// see AllPairsSharded).
+func (h pairHome) locate(i, j int) (*arrange.Arrangement, int, int) {
+	if h.sh == nil {
+		return h.a, i, j
+	}
+	c := h.sh.MatrixShard(i, j)
+	if c < 0 {
+		return nil, 0, 0
+	}
+	return h.sh.Subs[c], h.sh.Plan.LocalIndex(i), h.sh.Plan.LocalIndex(j)
+}
+
+// pairTable is the one all-pairs classifier behind the AllPairs* entry
+// points. Each unordered pair of distinct regions is resolved once — the
+// reverse direction is its Inverse — in this order: from parent when
+// isAdded is set and neither region is added; Disjoint when the boxes are
+// disjoint or no arrangement holds both; otherwise by an exact matrix scan.
+// The scans run on a bounded worker pool and merge in pair order, so the
+// output (and the first reported error) is deterministic regardless of
+// scheduling.
+func pairTable(names []string, home pairHome, boxes []geom.Box, isAdded []bool, parent map[[2]string]Relation) (map[[2]string]Relation, error) {
+	n := len(names)
+	if len(boxes) != n {
+		return nil, fmt.Errorf("fourint: %d boxes for %d regions", len(boxes), n)
+	}
+	type pair struct {
+		sub          *arrange.Arrangement
+		li, lj, i, j int
+	}
 	var pairs []pair
 	out := make(map[[2]string]Relation, n*(n-1))
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if !isAdded[i] && !isAdded[j] {
-				r, ok := parent[[2]string{names[i], names[j]}]
+			key := [2]string{names[i], names[j]}
+			if isAdded != nil && !isAdded[i] && !isAdded[j] {
+				r, ok := parent[key]
 				if !ok {
 					return nil, fmt.Errorf("fourint: pair (%s, %s) missing from parent relations", names[i], names[j])
 				}
-				out[[2]string{names[i], names[j]}] = r
+				out[key] = r
 				out[[2]string{names[j], names[i]}] = r.Inverse()
 				continue
 			}
-			if prune && !boxes[i].Intersects(boxes[j]) {
-				out[[2]string{names[i], names[j]}] = Disjoint
-				out[[2]string{names[j], names[i]}] = Disjoint
-				continue
+			if boxes[i].Intersects(boxes[j]) {
+				if sub, li, lj := home.locate(i, j); sub != nil {
+					pairs = append(pairs, pair{sub, li, lj, i, j})
+					continue
+				}
 			}
-			pairs = append(pairs, pair{i, j})
+			out[key] = Disjoint
+			out[[2]string{names[j], names[i]}] = Disjoint
 		}
 	}
 	rels := make([]Relation, len(pairs))
 	errs := make([]error, len(pairs))
 	par.For(len(pairs), func(k int) {
 		p := pairs[k]
-		rels[k], errs[k] = Classify(MatrixOf(a, p.i, p.j))
+		rels[k], errs[k] = Classify(MatrixOf(p.sub, p.li, p.lj))
 	})
 	for k, p := range pairs {
 		if errs[k] != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"topodb/internal/arrange"
+	"topodb/internal/geom"
 	"topodb/internal/spatial"
 	"topodb/internal/workload"
 )
@@ -19,10 +20,21 @@ func shardedOf(t *testing.T, in *spatial.Instance) *arrange.Sharded {
 	return sh
 }
 
+// unprunable returns n copies of in's union box: every pair of boxes
+// intersects, so the classifier scans every pair (the unpruned reference).
+func unprunable(in *spatial.Instance) []geom.Box {
+	u, _ := in.Box()
+	boxes := make([]geom.Box, in.Len())
+	for i := range boxes {
+		boxes[i] = u
+	}
+	return boxes
+}
+
 // TestAllPairsShardedMatches checks the sharded relation table against the
 // monolithic classifier on shard-friendly and shard-hostile workloads —
-// with the box prune on and off, since the cross-shard Disjoint shortcut
-// must be exact independently of pruning.
+// with the box prune on and off (unprunable boxes), since the cross-shard
+// Disjoint shortcut must be exact independently of pruning.
 func TestAllPairsShardedMatches(t *testing.T) {
 	for name, in := range map[string]*spatial.Instance{
 		"rect_grid":      workload.RectGrid(3),
@@ -38,9 +50,11 @@ func TestAllPairsShardedMatches(t *testing.T) {
 			}
 			sh := shardedOf(t, in)
 			for _, prune := range []bool{true, false} {
-				prev := SetBoxPrune(prune)
-				got, err := AllPairsSharded(sh, in.Boxes())
-				SetBoxPrune(prev)
+				boxes := in.Boxes()
+				if !prune {
+					boxes = unprunable(in)
+				}
+				got, err := AllPairsSharded(sh, boxes)
 				if err != nil {
 					t.Fatalf("AllPairsSharded(prune=%v): %v", prune, err)
 				}

@@ -5,6 +5,7 @@ import (
 
 	"topodb/internal/arrange"
 	"topodb/internal/fourint"
+	"topodb/internal/geom"
 	"topodb/internal/invariant"
 	"topodb/internal/spatial"
 	"topodb/internal/workload"
@@ -46,15 +47,16 @@ func TestSweepCanonicalInvariantBytes(t *testing.T) {
 }
 
 // The bounding-box prune must be invisible in the output: AllPairs with
-// and without pruning produce identical relation maps.
+// and without pruning (unprunable boxes) produce identical relation maps.
 func TestBoxPruneRelationsIdentical(t *testing.T) {
 	for name, in := range equivCases() {
 		t.Run(name, func(t *testing.T) {
-			old := fourint.SetBoxPrune(false)
-			unpruned, err := fourint.AllPairs(in)
-			fourint.SetBoxPrune(true)
+			a, err := arrange.Build(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unpruned, err := fourint.AllPairsFromBoxes(a, unprunableBoxes(in))
 			pruned, err2 := fourint.AllPairs(in)
-			fourint.SetBoxPrune(old)
 			if err != nil || err2 != nil {
 				t.Fatal(err, err2)
 			}
@@ -68,4 +70,16 @@ func TestBoxPruneRelationsIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// unprunableBoxes returns n copies of in's union box: every pair of boxes
+// intersects, so the all-pairs classifier scans every pair (the unpruned
+// reference).
+func unprunableBoxes(in *spatial.Instance) []geom.Box {
+	u, _ := in.Box()
+	boxes := make([]geom.Box, in.Len())
+	for i := range boxes {
+		boxes[i] = u
+	}
+	return boxes
 }
