@@ -5,7 +5,7 @@
 STATICCHECK_VERSION = 2024.1.1
 GOVULNCHECK_VERSION = v1.1.3
 
-.PHONY: all build test race lint topolint fmt vuln bench bench-baseline perfbench
+.PHONY: all build test race fuzz lint topolint fmt vuln bench bench-baseline perfbench
 
 all: build lint test
 
@@ -17,6 +17,12 @@ test:
 
 race:
 	go test -race ./...
+
+# fuzz is CI's short fuzzing step: canonical encodings of degenerate
+# rectangle instances against the reference encoder and under
+# homeomorphisms.
+fuzz:
+	go test -run '^$$' -fuzz FuzzCanonical -fuzztime 20s ./internal/invariant
 
 # lint is the full static gate: vet, formatting (analyzer fixtures under
 # internal/lint/testdata are position-sensitive test inputs and excluded),

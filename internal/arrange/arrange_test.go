@@ -361,3 +361,31 @@ func BenchmarkBuildFig1b(b *testing.B) {
 		}
 	}
 }
+
+// TestLabelAppendKey checks the word-at-a-time key translation against the
+// per-sign table on every tail length around the 8-sign word, after a
+// non-empty prefix, and that appending into spare capacity allocates
+// nothing.
+func TestLabelAppendKey(t *testing.T) {
+	for n := 0; n <= 27; n++ {
+		l := make(Label, n)
+		for i := range l {
+			l[i] = Sign((i*7 + n) % 3)
+		}
+		want := []byte("pre:")
+		for _, s := range l {
+			want = append(want, "-bo"[s])
+		}
+		if got := l.AppendKey([]byte("pre:")); string(got) != string(want) {
+			t.Fatalf("n=%d: AppendKey = %q, want %q", n, got, want)
+		}
+		if got := l.Key(); got != string(want[4:]) {
+			t.Fatalf("n=%d: Key = %q, want %q", n, got, want[4:])
+		}
+	}
+	l := make(Label, 3000)
+	buf := make([]byte, 0, len(l))
+	if a := testing.AllocsPerRun(10, func() { buf = l.AppendKey(buf[:0]) }); a != 0 {
+		t.Fatalf("AppendKey into spare capacity allocates %v times", a)
+	}
+}

@@ -103,9 +103,13 @@ type T struct {
 	src   *arrange.Arrangement
 	aVert []int32
 
+	// rotPos[2*edge+side] is that edge end's position in its vertex's
+	// Rot (-1 for the ends of vertex-free closed curves).
+	rotPos []int32
+
 	canonMu   sync.Mutex      // guards canon and bestStart (T values are shared by caches)
-	canon     [2]string       // cached canonical encodings per chirality
-	bestStart [2][]canonStart // minimizing start per comp, recorded when encoded
+	canon     string          // cached canonical encoding (the winning chirality's)
+	bestStart [2][]canonStart // minimizing start per comp and chirality, recorded when encoded
 	// seeds holds traversal starts transported from the parent generation
 	// by FromArrangementDelta. It is written only before the T is
 	// published and read under canonMu thereafter.
@@ -252,7 +256,12 @@ func FromArrangementCtx(ctx context.Context, a *arrange.Arrangement) (*T, error)
 		})
 	}
 
-	// 3. Rotation lists at kept vertices.
+	// 3. Rotation lists at kept vertices, and each end's position in its
+	// list.
+	t.rotPos = make([]int32, 2*len(t.Edges))
+	for i := range t.rotPos {
+		t.rotPos[i] = -1
+	}
 	for vi := range a.Verts {
 		if keep[vi] == -1 {
 			continue
@@ -263,6 +272,7 @@ func FromArrangementCtx(ctx context.Context, a *arrange.Arrangement) (*T, error)
 			if !ok {
 				return nil, fmt.Errorf("invariant: missing chain end at vertex %d", vi)
 			}
+			t.rotPos[2*en.Edge+en.Side] = int32(len(v.Rot))
 			v.Rot = append(v.Rot, en)
 		}
 	}
@@ -323,7 +333,46 @@ func FromArrangementCtx(ctx context.Context, a *arrange.Arrangement) (*T, error)
 	for ci := range t.Comps {
 		depth(ci)
 	}
+	if err := t.validate(); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// validate checks the structural facts the canonical encoder relies on:
+// the rotations hold exactly the ends of the edges with vertices, each at
+// its recorded position, and every vertex-free component is a single
+// closed curve.
+func (t *T) validate() error {
+	if len(t.rotPos) != 2*len(t.Edges) {
+		return fmt.Errorf("invariant: %d rotation positions for %d edges", len(t.rotPos), len(t.Edges))
+	}
+	for ei := range t.Edges {
+		if t.Edges[ei].IsClosed() {
+			continue
+		}
+		for side := 0; side < 2; side++ {
+			en := End{ei, side}
+			v, k := t.EndVertex(en), int(t.rotPos[2*ei+side])
+			if v < 0 || v >= len(t.Verts) || k < 0 || k >= len(t.Verts[v].Rot) || t.Verts[v].Rot[k] != en {
+				return fmt.Errorf("invariant: end %d.%d of edge not in its vertex's rotation", ei, side)
+			}
+		}
+	}
+	for vi := range t.Verts {
+		for k, en := range t.Verts[vi].Rot {
+			if en.Edge < 0 || en.Edge >= len(t.Edges) || en.Side&^1 != 0 ||
+				t.EndVertex(en) != vi || int(t.rotPos[2*en.Edge+en.Side]) != k {
+				return fmt.Errorf("invariant: rotation entry %d at vertex %d is not an end of that vertex", k, vi)
+			}
+		}
+	}
+	for ci, c := range t.Comps {
+		if len(c.Verts) == 0 && (len(c.Edges) != 1 || !t.Edges[c.Edges[0]].IsClosed()) {
+			return fmt.Errorf("invariant: vertex-free component %d has %d edges, want one closed curve", ci, len(c.Edges))
+		}
+	}
+	return nil
 }
 
 // Simple reports whether the instance is simple in the paper's sense: the

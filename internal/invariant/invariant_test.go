@@ -303,7 +303,7 @@ func BenchmarkCanonicalFig1b(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ti.canon = [2]string{} // reset cache
+		ti.canon = "" // reset cache
 		_ = ti.Canonical()
 	}
 }
