@@ -69,18 +69,36 @@ func Equivalent(a, b *T) bool {
 // canonicalize encodes the instance under both chiralities, records their
 // minimizing starts, and renders the smaller encoding (the positive one on
 // a tie). Callers hold canonMu.
+//
+// Only one chirality is stored up front: t.win, the parent generation's
+// winner when FromArrangementDelta transported it. The other chirality's
+// roots are encoded one at a time into reused arena space and compared
+// with the same components' stored encodings. Component encodings are
+// self-delimiting (labels have fixed width, numbers end at a non-digit,
+// braces and the face count close every part), so no root encoding is a
+// proper prefix of another, and the instance comparison is the
+// lexicographic comparison of the sorted root lists. Roots that encode
+// alike under both chiralities are common to both lists, so the smallest
+// differing root on each side decides it, unless those two are equal.
+// Only then, or when the other chirality wins, is it stored too, from the
+// starts its first pass recorded, one traversal per component.
 func (t *T) canonicalize() string {
 	e := newEncoder(t)
-	size := e.arenaSize()
+	bounds := e.bounds()
+	a, b := t.win, 1-t.win
 	var enc [2][][]byte
-	for idx := range enc {
-		enc[idx] = joinRoots(e.encodeInstance(idx, size))
+	rootsA := e.encodeRoots(a, t.seeds[a], bounds)
+	enc[a] = joinRoots(rootsA)
+	minB, minA := e.scanRoots(b, t.seeds[b], bounds, rootsA)
+	m := min(len(minA), len(minB))
+	if minB != nil && bytes.Compare(minB[:m], minA[:m]) <= 0 {
+		enc[b] = joinRoots(e.encodeRoots(b, t.bestStart[b], bounds))
+		t.win = 0
+		if compareJoined(enc[1], enc[0]) < 0 {
+			t.win = 1
+		}
 	}
-	win := enc[0]
-	if compareJoined(enc[1], enc[0]) < 0 {
-		win = enc[1]
-	}
-	return assemble(len(t.Names), win)
+	return assemble(len(t.Names), enc[t.win])
 }
 
 // span is the byte range [off, end) of one encoding in an arena.
@@ -134,7 +152,8 @@ type encoder struct {
 	memoGen  uint32   // bumped per minimized component
 	cand     []byte   // candidate and best traversals during minimization
 	best     []byte
-	depthOrd []int // components, deepest first
+	minRoot  []byte // smallest root encoding when roots are not kept
+	depthOrd []int  // components, deepest first
 }
 
 func newEncoder(t *T) *encoder {
@@ -158,10 +177,11 @@ func newEncoder(t *T) *encoder {
 	}
 }
 
-// encodeInstance encodes every component under chirality idx (1 is the
-// mirror image) into a fresh arena of the given capacity, records the
-// minimizing starts, and returns the root encodings sorted bytewise.
-func (e *encoder) encodeInstance(idx, size int) [][]byte {
+// encodeComps encodes every component under chirality idx (1 is the
+// mirror image), deepest first, into a fresh arena of the given capacity,
+// taking a component's start from starts where one is recorded and
+// recording the minimizing starts. root runs after each root component.
+func (e *encoder) encodeComps(idx int, starts []canonStart, size int, root func(ci int)) {
 	t := e.t
 	e.mirror = idx == 1
 	e.arena = make([]byte, 0, size)
@@ -169,27 +189,65 @@ func (e *encoder) encodeInstance(idx, size int) [][]byte {
 		t.bestStart[idx] = make([]canonStart, len(t.Comps))
 	}
 	for _, ci := range e.depthOrd {
-		e.encodeComp(ci, idx)
-	}
-	var roots [][]byte
-	for ci := range t.Comps {
+		e.encodeComp(ci, idx, starts)
 		if t.Comps[ci].ParentFace == t.Exterior {
-			roots = append(roots, e.bytes(e.comp[ci]))
+			root(ci)
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool { return bytes.Compare(roots[i], roots[j]) < 0 })
+}
+
+// encodeRoots stores every component's encoding under chirality idx and
+// returns the root encodings indexed by component (nil for the others).
+func (e *encoder) encodeRoots(idx int, starts []canonStart, bounds []int) [][]byte {
+	size := 0
+	for _, b := range bounds {
+		size += b
+	}
+	roots := make([][]byte, len(bounds))
+	e.encodeComps(idx, starts, size, func(ci int) { roots[ci] = e.at(e.comp[ci]) })
 	return roots
 }
 
-func (e *encoder) bytes(s span) []byte { return e.arena[s.off:s.end] }
+// scanRoots encodes every component under chirality idx but stores only
+// the nested ones: each root is encoded into reused arena space and
+// compared with other[ci], the same component under the other chirality.
+// Over the roots whose two encodings differ, it returns the smallest
+// encoding under idx and the smallest in other (nil, nil when none differ).
+func (e *encoder) scanRoots(idx int, starts []canonStart, bounds []int, other [][]byte) (minIdx, minOther []byte) {
+	size, maxRoot := 0, 0
+	for ci, b := range bounds {
+		if other[ci] == nil {
+			size += b
+		} else {
+			maxRoot = max(maxRoot, b)
+		}
+	}
+	e.encodeComps(idx, starts, size+maxRoot, func(ci int) {
+		s := e.comp[ci]
+		if enc := e.at(s); !bytes.Equal(enc, other[ci]) {
+			if minIdx == nil || bytes.Compare(enc, minIdx) < 0 {
+				e.minRoot = append(e.minRoot[:0], enc...)
+				minIdx = e.minRoot
+			}
+			if minOther == nil || bytes.Compare(other[ci], minOther) < 0 {
+				minOther = other[ci]
+			}
+		}
+		e.arena = e.arena[:s.off]
+	})
+	return minIdx, minOther
+}
+
+// at returns the arena bytes of s.
+func (e *encoder) at(s span) []byte { return e.arena[s.off:s.end] }
 
 // encodeComp appends component ci's canonical encoding to the arena. Every
 // deeper component is already encoded.
-func (e *encoder) encodeComp(ci, idx int) {
+func (e *encoder) encodeComp(ci, idx int, starts []canonStart) {
 	t := e.t
 	c := &t.Comps[ci]
 	off := len(e.arena)
-	switch s := t.seeds[idx]; {
+	switch s := starts; {
 	case len(c.Verts) == 0:
 		// A vertex-free closed curve: one edge, an inner face (validate
 		// guarantees the single edge).
@@ -204,12 +262,13 @@ func (e *encoder) encodeComp(ci, idx int) {
 		e.arena = e.appendFace(e.arena, inner)
 		e.arena = append(e.arena, ')')
 	case s != nil && s[ci].ok:
-		// A start transported from the parent generation
-		// (FromArrangementDelta) is already minimal for an untouched
-		// component: its encoding is the parent's with every label key
-		// widened by the component's uniform added-region suffix, which
-		// preserves every comparison the parent's minimization made. One
-		// traversal instead of one per edge-end.
+		// A recorded start is minimal: either this call's first pass
+		// found it, or it was transported from the parent generation
+		// (FromArrangementDelta) for an untouched component, whose
+		// encoding is the parent's with every label key widened by the
+		// component's uniform added-region suffix, which preserves every
+		// comparison the parent's minimization made. One traversal
+		// instead of one per edge-end.
 		t.bestStart[idx][ci] = s[ci]
 		e.arena = e.appendFrom(e.arena, ci, int(s[ci].vert), int(s[ci].k))
 	default:
@@ -257,12 +316,12 @@ func (e *encoder) renderFace(dst []byte, fi int) []byte {
 	for _, ch := range f.Children {
 		kids = append(kids, e.comp[ch])
 	}
-	sort.Slice(kids, func(i, j int) bool { return bytes.Compare(e.bytes(kids[i]), e.bytes(kids[j])) < 0 })
+	sort.Slice(kids, func(i, j int) bool { return bytes.Compare(e.at(kids[i]), e.at(kids[j])) < 0 })
 	for i, s := range kids {
 		if i > 0 {
 			dst = append(dst, '|')
 		}
-		dst = append(dst, e.bytes(s)...)
+		dst = append(dst, e.at(s)...)
 	}
 	e.kids = kids
 	return append(dst, '}')
@@ -355,12 +414,11 @@ func (e *encoder) appendFrom(dst []byte, ci, vi, k int) []byte {
 	return dst
 }
 
-// arenaSize bounds the bytes one chirality's arena receives: the sum over
-// components of an upper bound on each encoding's length. Numbers are
-// bounded by the digits of the component's cell counts; everything else
-// is exact. Deeper components are bounded first, since a face's bound
-// includes its children's.
-func (e *encoder) arenaSize() int {
+// bounds returns, per component, an upper bound on its encoding's length.
+// Numbers are bounded by the digits of the component's cell counts;
+// everything else is exact. Deeper components are bounded first, since a
+// face's bound includes its children's.
+func (e *encoder) bounds() []int {
 	t := e.t
 	nf := make([]int, len(t.Comps))    // owned faces
 	faceB := make([]int, len(t.Comps)) // owned faces' bytes: label, braces, comma, children
@@ -370,7 +428,7 @@ func (e *encoder) arenaSize() int {
 			faceB[c] += len(t.Faces[fi].Label) + len("{},")
 		}
 	}
-	total := 0
+	bound := make([]int, len(t.Comps))
 	for _, ci := range e.depthOrd {
 		c := &t.Comps[ci]
 		b := faceB[ci]
@@ -389,14 +447,14 @@ func (e *encoder) arenaSize() int {
 			// ones plus the parent; the face table adds "F:" and "P,".
 			b += ends*(len("ef>v!;")+digits(len(c.Edges))+digits(nf[ci]+1)+digits(len(c.Verts))) + len("F:P,")
 		}
-		total += b
+		bound[ci] = b
 		if pf := c.ParentFace; pf != t.Exterior {
 			if p := t.Faces[pf].Comp; p >= 0 {
 				faceB[p] += b + len("|")
 			}
 		}
 	}
-	return total
+	return bound
 }
 
 // digits is the decimal length of the largest number below n.
@@ -408,11 +466,19 @@ func digits(n int) int {
 	return d
 }
 
-// joinRoots lays out the sorted root encodings as the pieces of
-// "R1|…|Rk}", the instance encoding after its "I[n]{" prefix.
+// joinRoots sorts the root encodings (skipping nil entries) and lays them
+// out as the pieces of "R1|…|Rk}", the instance encoding after its
+// "I[n]{" prefix.
 func joinRoots(roots [][]byte) [][]byte {
-	pieces := make([][]byte, 0, 2*len(roots)+1)
-	for i, r := range roots {
+	sorted := make([][]byte, 0, len(roots))
+	for _, r := range roots {
+		if r != nil {
+			sorted = append(sorted, r)
+		}
+	}
+	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i], sorted[j]) < 0 })
+	pieces := make([][]byte, 0, 2*len(sorted)+1)
+	for i, r := range sorted {
 		if i > 0 {
 			pieces = append(pieces, []byte("|"))
 		}

@@ -125,6 +125,36 @@ func TestCanonicalMatchesReference(t *testing.T) {
 			checkCanonical(t, degenerateRects(data))
 		}
 	})
+	t.Run("delta_chains", func(t *testing.T) {
+		// Parents canonicalized first transport their winning chirality,
+		// which may be the mirror one, as the chirality stored first.
+		ctx := context.Background()
+		for name, in := range deltaCases() {
+			names := in.Names()
+			k := (len(names) + 1) / 2
+			a, err := arrange.Build(restrict(in, names[:k]))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			parent, err := FromArrangement(a)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			mustRef(t, parent)
+			for ; k < len(names); k++ {
+				next, err := arrange.Insert(ctx, a, restrict(in, names[:k+1]), names[k])
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				inc, err := FromArrangementDelta(ctx, next, parent)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				mustRef(t, inc)
+				a, parent = next, inc
+			}
+		}
+	})
 	t.Run("metro_delta_chain", func(t *testing.T) {
 		ctx := context.Background()
 		in := workload.MetroGrid(256, 2, 10)
@@ -213,8 +243,8 @@ func TestValidateRejectsCorruptT(t *testing.T) {
 }
 
 // One Canonical call on a delta-derived metro invariant may allocate at
-// most four times the encoding's length: two per-chirality arenas, the
-// final string, and small scratch. A per-label allocation (as from
+// most four times the encoding's length: at most one arena per chirality,
+// the final string, and small scratch. A per-label allocation (as from
 // Label.Key) pushes it past the budget.
 func TestCanonicalAllocBudget(t *testing.T) {
 	ctx := context.Background()

@@ -79,6 +79,7 @@ func (t *T) seedStarts(parent *T, p *arrange.Provenance) {
 
 	parent.canonMu.Lock()
 	defer parent.canonMu.Unlock()
+	t.win = parent.win
 	for idx := 0; idx < 2; idx++ {
 		pb := parent.bestStart[idx]
 		if pb == nil {

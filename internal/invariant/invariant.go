@@ -107,8 +107,9 @@ type T struct {
 	// Rot (-1 for the ends of vertex-free closed curves).
 	rotPos []int32
 
-	canonMu   sync.Mutex      // guards canon and bestStart (T values are shared by caches)
+	canonMu   sync.Mutex      // guards canon, win and bestStart (T values are shared by caches)
 	canon     string          // cached canonical encoding (the winning chirality's)
+	win       int             // chirality of canon once computed; before, the parent generation's
 	bestStart [2][]canonStart // minimizing start per comp and chirality, recorded when encoded
 	// seeds holds traversal starts transported from the parent generation
 	// by FromArrangementDelta. It is written only before the T is
