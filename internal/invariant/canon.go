@@ -152,8 +152,7 @@ type encoder struct {
 	memoGen  uint32   // bumped per minimized component
 	cand     []byte   // candidate and best traversals during minimization
 	best     []byte
-	minRoot  []byte // smallest root encoding when roots are not kept
-	depthOrd []int  // components, deepest first
+	depthOrd []int // components, deepest first
 }
 
 func newEncoder(t *T) *encoder {
@@ -226,8 +225,7 @@ func (e *encoder) scanRoots(idx int, starts []canonStart, bounds []int, other []
 		s := e.comp[ci]
 		if enc := e.at(s); !bytes.Equal(enc, other[ci]) {
 			if minIdx == nil || bytes.Compare(enc, minIdx) < 0 {
-				e.minRoot = append(e.minRoot[:0], enc...)
-				minIdx = e.minRoot
+				minIdx = append(minIdx[:0], enc...)
 			}
 			if minOther == nil || bytes.Compare(other[ci], minOther) < 0 {
 				minOther = other[ci]

@@ -201,18 +201,13 @@ func TestCanonicalMatchesReference(t *testing.T) {
 // traverse: an edge end missing from its vertex's rotation, and a
 // vertex-free component with more than one edge.
 func TestValidateRejectsCorruptT(t *testing.T) {
-	fresh := func() *T {
-		ti, err := New(spatial.Fig1b())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ti.validate(); err != nil {
-			t.Fatalf("valid invariant rejected: %v", err)
-		}
-		return ti
+	ti, err := New(spatial.Fig1b())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	ti := fresh()
+	if err := ti.validate(); err != nil {
+		t.Fatalf("valid invariant rejected: %v", err)
+	}
 	for vi := range ti.Verts {
 		if rot := ti.Verts[vi].Rot; len(rot) > 1 {
 			ti.Verts[vi].Rot = append(rot[:0:0], rot[1:]...)
@@ -223,7 +218,7 @@ func TestValidateRejectsCorruptT(t *testing.T) {
 		t.Fatal("validate accepted a rotation with a dropped edge end")
 	}
 
-	ti, err := New(spatial.New().
+	ti, err = New(spatial.New().
 		MustAdd("A", region.MustRect(0, 0, 4, 4)).
 		MustAdd("B", region.MustRect(10, 0, 14, 4)))
 	if err != nil {
